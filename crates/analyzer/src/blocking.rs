@@ -40,8 +40,8 @@ const DRAINS: &[&str] = &["scope", "wait_all", "wait_report"];
 fn blocking_name(c: &Call, sums: &Summaries) -> Option<String> {
     let n = c.name.as_str();
     // `scope` only as a method (`runtime.scope(..)`): the free-path call
-    // `crossbeam::scope(..)` inside `Device::launch_blocks` joins its own
-    // dedicated OS threads, which cannot starve the stream worker pool.
+    // `std::thread::scope(..)` in the simulator's block fork-join joins its
+    // own dedicated OS threads, which cannot starve the stream workers.
     if DRAINS.contains(&n) && (n != "scope" || c.is_method) {
         return Some(c.name.clone());
     }

@@ -172,8 +172,8 @@ impl<'a, S: GraphStorage> GswordBuilder<'a, S> {
     }
 
     /// Intra-kernel simulation workers per launch: `0` = auto (the
-    /// device's `host_threads`), `1` = serial (default), `n` = a
-    /// persistent pool of `n` lockstep block workers. A wall-clock knob
+    /// device's `host_threads`), `1` = serial (default), `n` = up to `n`
+    /// threads per launch, each claiming whole blocks. A wall-clock knob
     /// only — estimates, counters, and sanitizer verdicts are
     /// bit-identical for every value.
     pub fn sim_workers(mut self, n: usize) -> Self {
@@ -200,6 +200,17 @@ impl<'a, S: GraphStorage> GswordBuilder<'a, S> {
 
     /// Execute the configured run.
     pub fn run(self) -> Result<Report, Error> {
+        with_estimator(self.estimator, |est| self.execute(est))
+    }
+
+    /// Run a custom user-defined RSV estimator (Fig. 19's extension point)
+    /// instead of a built-in one. Every other setting applies exactly as
+    /// in [`GswordBuilder::run`].
+    pub fn run_custom<E: Estimator>(self, est: &E) -> Result<Report, Error> {
+        self.execute(est)
+    }
+
+    fn execute<E: Estimator + ?Sized>(self, est: &E) -> Result<Report, Error> {
         if self.samples == 0 {
             return Err(Error::NoSamples);
         }
@@ -211,72 +222,9 @@ impl<'a, S: GraphStorage> GswordBuilder<'a, S> {
         let order = make_order(self.order, self.query, self.data);
         let ctx = QueryCtx::new(&cg, &order);
 
-        let engine_cfg = |mut cfg: EngineConfig| {
-            cfg.samples = self.samples;
-            cfg.seed = self.seed;
-            if let Some(d) = self.device {
-                cfg.device = d;
-            }
-            cfg.sanitize = self.sanitize;
-            cfg.profile = self.profile;
-            cfg.num_devices = self.num_devices;
-            cfg.streams_per_device = self.streams_per_device;
-            cfg.sim_workers = self.sim_workers;
-            cfg
-        };
-
-        let mut report = with_estimator(self.estimator, |est| -> Result<Report, Error> {
-            match (&self.backend, &self.trawling) {
-                (Backend::Cpu { .. }, Some(_)) => Err(Error::TrawlingNeedsDevice),
-                (Backend::Cpu { threads }, None) => {
-                    let threads = if *threads == 0 {
-                        std::thread::available_parallelism().map_or(4, |n| n.get())
-                    } else {
-                        *threads
-                    };
-                    let r = run_parallel_cpu(&ctx, est, self.samples, self.seed, threads);
-                    Ok(Report::from_cpu(r.estimate, r.wall_ms))
-                }
-                (backend, trawling) => {
-                    let cfg = engine_cfg(match backend {
-                        Backend::GpuBaseline => EngineConfig::gpu_baseline(self.samples),
-                        Backend::Gsword => EngineConfig::gsword(self.samples),
-                        Backend::Device(c) => *c,
-                        Backend::Cpu { .. } => unreachable!("handled above"),
-                    });
-                    match trawling {
-                        None => {
-                            let r = run_engine(&ctx, est, &cfg);
-                            Ok(Report::from_device(r))
-                        }
-                        Some(trawl_cfg) => {
-                            let r = run_coprocessing(&ctx, est, &cfg, trawl_cfg);
-                            Ok(Report::from_pipeline(r))
-                        }
-                    }
-                }
-            }
-        })?;
-        report.candidate_stats = Some(candidate_stats);
-        report.wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        Ok(report)
-    }
-
-    /// Run a custom user-defined RSV estimator (Fig. 19's extension point)
-    /// instead of a built-in one.
-    pub fn run_custom<E: Estimator>(self, est: &E) -> Result<Report, Error> {
-        if self.samples == 0 {
-            return Err(Error::NoSamples);
-        }
-        let t0 = Instant::now();
-        let (cg, candidate_stats) = build_candidate_graph(self.data, self.query, &self.build);
-        let order = make_order(self.order, self.query, self.data);
-        let ctx = QueryCtx::new(&cg, &order);
-        let mut cfg = match self.backend {
-            Backend::GpuBaseline => EngineConfig::gpu_baseline(self.samples),
-            Backend::Gsword => EngineConfig::gsword(self.samples),
-            Backend::Device(c) => c,
-            Backend::Cpu { threads } => {
+        let mut cfg = match (self.backend, &self.trawling) {
+            (Backend::Cpu { .. }, Some(_)) => return Err(Error::TrawlingNeedsDevice),
+            (Backend::Cpu { threads }, None) => {
                 let threads = if threads == 0 {
                     std::thread::available_parallelism().map_or(4, |n| n.get())
                 } else {
@@ -285,8 +233,12 @@ impl<'a, S: GraphStorage> GswordBuilder<'a, S> {
                 let r = run_parallel_cpu(&ctx, est, self.samples, self.seed, threads);
                 let mut report = Report::from_cpu(r.estimate, r.wall_ms);
                 report.candidate_stats = Some(candidate_stats);
+                report.wall_ms = t0.elapsed().as_secs_f64() * 1e3;
                 return Ok(report);
             }
+            (Backend::GpuBaseline, _) => EngineConfig::gpu_baseline(self.samples),
+            (Backend::Gsword, _) => EngineConfig::gsword(self.samples),
+            (Backend::Device(c), _) => c,
         };
         cfg.samples = self.samples;
         cfg.seed = self.seed;
@@ -298,8 +250,10 @@ impl<'a, S: GraphStorage> GswordBuilder<'a, S> {
         cfg.num_devices = self.num_devices;
         cfg.streams_per_device = self.streams_per_device;
         cfg.sim_workers = self.sim_workers;
-        let r = run_engine(&ctx, est, &cfg);
-        let mut report = Report::from_device(r);
+        let mut report = match &self.trawling {
+            None => Report::from_device(run_engine(&ctx, est, &cfg)),
+            Some(trawl) => Report::from_pipeline(run_coprocessing(&ctx, est, &cfg, trawl)),
+        };
         report.candidate_stats = Some(candidate_stats);
         report.wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         Ok(report)
@@ -527,6 +481,52 @@ mod tests {
             .expect("run");
         assert!(off.prof.is_none());
         assert_eq!(off.estimate, r.estimate);
+    }
+
+    #[test]
+    fn run_custom_matches_run_with_the_same_estimator() {
+        use gsword_estimators::Alley;
+        let (data, query) = fixture();
+        let trawl = TrawlConfig {
+            batches: 2,
+            cpu_threads: 1,
+            per_batch: 8,
+            ..TrawlConfig::default()
+        };
+        for trawling in [None, Some(trawl)] {
+            let builder = || {
+                let b = Gsword::builder(&data, &query)
+                    .samples(4_000)
+                    .seed(9)
+                    .estimator(EstimatorKind::Alley)
+                    .device(small_device());
+                match trawling {
+                    Some(t) => b.trawling(t),
+                    None => b,
+                }
+            };
+            // With trawling, the sampler runs as seed-shifted pipeline
+            // batches, so equal bits also show `run_custom` took the
+            // pipeline path.
+            let built_in = builder().run().expect("run");
+            let custom = builder().run_custom(&Alley).expect("run_custom");
+            assert_eq!(
+                custom.sampler.value().to_bits(),
+                built_in.sampler.value().to_bits(),
+                "trawling={}",
+                trawling.is_some()
+            );
+            assert_eq!(
+                custom.counters.map(|c| c.snapshot()),
+                built_in.counters.map(|c| c.snapshot())
+            );
+        }
+        let err = Gsword::builder(&data, &query)
+            .backend(Backend::Cpu { threads: 1 })
+            .trawling(trawl)
+            .run_custom(&Alley)
+            .unwrap_err();
+        assert_eq!(err, Error::TrawlingNeedsDevice);
     }
 
     #[test]

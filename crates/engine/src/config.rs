@@ -61,7 +61,8 @@ pub struct EngineConfig {
     pub streams_per_device: usize,
     /// Intra-kernel simulation workers: how many host threads one launch
     /// fans its blocks over. `0` = auto (the device's `host_threads`),
-    /// `1` = serial in-stream execution, `n` = a persistent pool of `n`.
+    /// `1` = serial in-stream execution, `n` = the stream thread plus
+    /// `n - 1` helpers spawned for each launch.
     /// Results are bit-identical for every value — blocks merge in fixed
     /// ascending order regardless of which worker simulated them.
     pub sim_workers: usize,
@@ -166,8 +167,9 @@ impl EngineConfig {
     }
 
     /// Builder-style intra-kernel worker override (`0` = auto, `1` =
-    /// serial, `n` = a pool of `n`). Purely a wall-clock knob: estimates,
-    /// counters, and sanitizer verdicts are identical for every value.
+    /// serial, `n` = up to `n` threads per launch). Purely a wall-clock
+    /// knob: estimates, counters, and sanitizer verdicts are identical for
+    /// every value.
     pub fn with_sim_workers(mut self, sim_workers: usize) -> Self {
         self.sim_workers = sim_workers;
         self

@@ -1,12 +1,12 @@
 //! Trawling (Algorithm 4) and the batched co-processing driver (Figure 9).
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 use gsword_enumeration::{count_extensions, EnumLimits};
 use gsword_estimators::{run_partial_sample, Estimate, Estimator, QueryCtx, SampleState};
 use gsword_simt::{KernelCounters, SpanKind, Track};
-use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -190,14 +190,14 @@ pub fn run_coprocessing<E: Estimator + ?Sized>(
             let run = spawn_estimate(rs, ctx, est, &batch_cfg);
             let prev = std::mem::take(&mut pending);
             let next = AtomicUsize::new(0);
-            let report = crossbeam::scope(|scope| {
+            let report = std::thread::scope(|scope| {
                 let stop_ref = &stop;
                 let contributions_ref = &contributions;
                 let next_ref = &next;
                 let prev_ref = &prev;
                 let workers: Vec<_> = (0..trawl.cpu_threads.max(1))
                     .map(|_| {
-                        scope.spawn(move |_| {
+                        scope.spawn(move || {
                             enumerate_tasks(
                                 ctx,
                                 prev_ref,
@@ -215,8 +215,7 @@ pub fn run_coprocessing<E: Estimator + ?Sized>(
                     w.join().expect("enumeration worker panicked");
                 }
                 report
-            })
-            .expect("pipeline scope panicked");
+            });
 
             sampler.merge(&report.estimate);
             counters.merge(&report.counters);
@@ -241,7 +240,7 @@ pub fn run_coprocessing<E: Estimator + ?Sized>(
         let stop = AtomicBool::new(false);
         let next = AtomicUsize::new(0);
         let finished = AtomicUsize::new(0);
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             let stop_ref = &stop;
             let contributions_ref = &contributions;
             let pending_ref = &pending;
@@ -249,7 +248,7 @@ pub fn run_coprocessing<E: Estimator + ?Sized>(
             let finished_ref = &finished;
             let workers: Vec<_> = (0..trawl.cpu_threads.max(1))
                 .map(|_| {
-                    scope.spawn(move |_| loop {
+                    scope.spawn(move || loop {
                         if stop_ref.load(Ordering::Relaxed) {
                             return;
                         }
@@ -276,14 +275,15 @@ pub fn run_coprocessing<E: Estimator + ?Sized>(
             for w in workers {
                 w.join().expect("enumeration worker panicked");
             }
-        })
-        .expect("pipeline scope panicked");
+        });
         runtime
             .profiler()
             .record_span(Track::Host, SpanKind::Phase, "grace window", grace_start);
     }
 
-    let contributions = contributions.into_inner();
+    let contributions = contributions
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
     let trawl_completed = contributions.len() as u64;
     let trawl_mean = if contributions.is_empty() {
         None
@@ -340,7 +340,8 @@ fn enumerate_one(
     out: &Mutex<Vec<f64>>,
 ) {
     match task {
-        None => out.lock().push(0.0), // failed prefix: completes instantly
+        // Failed prefix: completes instantly.
+        None => out.lock().unwrap_or_else(PoisonError::into_inner).push(0.0),
         Some(s) => {
             let outcome = count_extensions(
                 ctx,
@@ -351,7 +352,9 @@ fn enumerate_one(
                 },
             );
             if outcome.complete {
-                out.lock().push(outcome.count as f64 / s.prob);
+                out.lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push(outcome.count as f64 / s.prob);
             }
         }
     }

@@ -30,10 +30,14 @@ pub mod trace;
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use parking_lot::Mutex;
+/// Lock ignoring poisoning: a panicked kernel job must not make the
+/// spans and counters already recorded unreadable.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Maximum spans kept with full detail; past the cap only the total keeps
 /// counting (`ProfReport::spans_dropped`). Long adaptive loops stay bounded.
@@ -534,11 +538,11 @@ impl Profiler {
         let Some(inner) = &self.inner else { return };
         let end_us = end_us.max(start_us);
         {
-            let mut track_end = inner.track_end.lock();
+            let mut track_end = lock(&inner.track_end);
             let e = track_end.entry(track).or_insert(0);
             *e = (*e).max(end_us);
         }
-        let mut spans = inner.spans.lock();
+        let mut spans = lock(&inner.spans);
         if spans.len() < SPAN_CAP {
             spans.push(Span {
                 track,
@@ -548,7 +552,7 @@ impl Profiler {
                 end_us,
             });
         } else {
-            *inner.spans_dropped.lock() += 1;
+            *lock(&inner.spans_dropped) += 1;
         }
     }
 
@@ -557,9 +561,7 @@ impl Profiler {
     #[inline]
     pub fn on_charge(&self, device: usize, stream: usize, counters: &CounterSnapshot) {
         let Some(inner) = &self.inner else { return };
-        inner
-            .streams
-            .lock()
+        lock(&inner.streams)
             .entry((device as u32, stream as u32))
             .or_default()
             .merge(counters);
@@ -576,7 +578,7 @@ impl Profiler {
         samples_inherited: u64,
     ) {
         let Some(inner) = &self.inner else { return };
-        let mut kernels = inner.kernels.lock();
+        let mut kernels = lock(&inner.kernels);
         let row = kernels
             .entry(kernel.to_string())
             .or_insert_with(|| KernelMetrics::new(kernel));
@@ -594,13 +596,11 @@ impl Profiler {
         let Some(inner) = &self.inner else {
             return ProfReport::default();
         };
-        let mut spans = inner.spans.lock().clone();
+        let mut spans = lock(&inner.spans).clone();
         spans.sort_by_key(Span::sort_key);
-        let mut kernels: Vec<KernelMetrics> = inner.kernels.lock().values().cloned().collect();
+        let mut kernels: Vec<KernelMetrics> = lock(&inner.kernels).values().cloned().collect();
         kernels.sort_by(|a, b| a.kernel.cmp(&b.kernel));
-        let mut streams: Vec<StreamCounters> = inner
-            .streams
-            .lock()
+        let mut streams: Vec<StreamCounters> = lock(&inner.streams)
             .iter()
             .map(|(&(device, stream), &counters)| StreamCounters {
                 device,
@@ -609,7 +609,7 @@ impl Profiler {
             })
             .collect();
         streams.sort_by_key(|s| (s.device, s.stream));
-        let track_end = inner.track_end.lock();
+        let track_end = lock(&inner.track_end);
         let device_makespan_us = (0..inner.num_devices)
             .map(|d| {
                 (0..inner.streams_per_device)
@@ -629,7 +629,7 @@ impl Profiler {
             num_devices: inner.num_devices,
             streams_per_device: inner.streams_per_device,
             spans,
-            spans_dropped: *inner.spans_dropped.lock(),
+            spans_dropped: *lock(&inner.spans_dropped),
             kernels,
             streams,
             device_makespan_us,

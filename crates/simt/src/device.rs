@@ -1,8 +1,10 @@
 //! Device launch harness and the device-time model.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::counters::KernelCounters;
+use gsword_prof::{Profiler, SpanKind, Track};
 use gsword_sanitizer::{Sanitizer, WarpSanitizer};
 
 /// Kernel launch geometry plus host execution parallelism.
@@ -143,83 +145,93 @@ impl Device {
     /// unchanged (not re-based to zero), so a grid split across devices and
     /// streams computes the same per-block work as a whole-grid launch;
     /// results come back in ascending block order.
-    pub fn launch_blocks<R, F>(&self, blocks: std::ops::Range<usize>, body: F) -> Vec<R>
+    pub fn launch_blocks<R, F>(&self, blocks: Range<usize>, body: F) -> Vec<R>
     where
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
-        let base = blocks.start;
-        let nb = blocks.len();
-        if nb == 0 {
-            return Vec::new();
-        }
-        let mut results: Vec<Option<R>> = (0..nb).map(|_| None).collect();
-        let workers = self.config.host_threads.clamp(1, nb);
-        if workers == 1 {
-            for (b, slot) in results.iter_mut().enumerate() {
-                *slot = Some(body(base + b));
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let slots: Vec<parking_slot::Slot<R>> =
-                (0..nb).map(|_| parking_slot::Slot::new()).collect();
-            crossbeam::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(|_| loop {
-                        let b = next.fetch_add(1, Ordering::Relaxed);
-                        if b >= nb {
-                            break;
-                        }
-                        slots[b].put(body(base + b));
-                    });
-                }
-            })
-            .expect("kernel block panicked");
-            for (slot, out) in slots.into_iter().zip(results.iter_mut()) {
-                *out = slot.take();
-            }
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("all blocks executed"))
-            .collect()
+        fork_join(blocks, self.config.host_threads, body, None)
     }
 }
 
-/// Minimal one-shot cell so block results can be written from worker
-/// threads without locking (each slot written exactly once).
-pub(crate) mod parking_slot {
-    use std::cell::UnsafeCell;
-    use std::sync::atomic::{AtomicBool, Ordering};
+/// Profiler attribution for [`fork_join`]: each participant that ran at
+/// least one block records one span named `name` on its
+/// [`Track::Worker`] row of `(device, stream)`.
+pub(crate) struct WorkerSpans<'a> {
+    pub profiler: &'a Profiler,
+    pub name: &'a str,
+    pub device: u32,
+    pub stream: u32,
+}
 
-    pub struct Slot<T> {
-        set: AtomicBool,
-        val: UnsafeCell<Option<T>>,
+/// Run `body` once per block id in `blocks` on up to `workers` threads and
+/// return the results in ascending block order.
+///
+/// The worker count is clamped to the number of blocks; one worker runs
+/// the blocks serially on the calling thread. Otherwise `workers - 1`
+/// scoped helpers are spawned and the calling thread is the remaining
+/// participant. Every participant claims block ids from one shared cursor
+/// and returns its `(block, result)` pairs; the pairs are then placed in
+/// block order, so the output does not depend on which thread ran which
+/// block. A panicking block re-raises its panic here once every
+/// participant has stopped.
+pub(crate) fn fork_join<R, F>(
+    blocks: Range<usize>,
+    workers: usize,
+    body: F,
+    spans: Option<&WorkerSpans<'_>>,
+) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    let nb = blocks.len();
+    let workers = workers.clamp(1, nb.max(1));
+    if workers == 1 {
+        return blocks.map(body).collect();
     }
-
-    // SAFETY: `put` is called at most once per slot (unique block ids) and
-    // `take` only after all writers joined.
-    unsafe impl<T: Send> Sync for Slot<T> {}
-
-    impl<T> Slot<T> {
-        pub fn new() -> Self {
-            Slot {
-                set: AtomicBool::new(false),
-                val: UnsafeCell::new(None),
+    let base = blocks.start;
+    let cursor = AtomicUsize::new(0);
+    let participants = AtomicUsize::new(0);
+    let participate = || {
+        let mut ran: Vec<(usize, R)> = Vec::new();
+        let mut start_us = 0;
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= nb {
+                break;
             }
+            if ran.is_empty() {
+                start_us = spans.map_or(0, |s| s.profiler.now_us());
+            }
+            ran.push((i, body(base + i)));
         }
-
-        pub fn put(&self, v: T) {
-            // SAFETY: each block id is claimed by exactly one worker, so no
-            // concurrent writes to the same slot.
-            unsafe { *self.val.get() = Some(v) };
-            self.set.store(true, Ordering::Release);
+        if let (Some(s), false) = (spans, ran.is_empty()) {
+            let track = Track::Worker {
+                device: s.device,
+                stream: s.stream,
+                worker: participants.fetch_add(1, Ordering::Relaxed) as u32,
+            };
+            s.profiler
+                .record_span(track, SpanKind::Launch, s.name, start_us);
         }
-
-        pub fn take(self) -> Option<T> {
-            self.val.into_inner()
+        ran
+    };
+    let parts: Vec<Vec<(usize, R)>> = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..workers).map(|_| s.spawn(participate)).collect();
+        let mut parts = vec![participate()];
+        for h in helpers {
+            parts.push(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
         }
+        parts
+    });
+    let mut out: Vec<Option<R>> = (0..nb).map(|_| None).collect();
+    for (i, r) in parts.into_iter().flatten() {
+        out[i] = Some(r);
     }
+    out.into_iter()
+        .map(|r| r.expect("every block ran exactly once"))
+        .collect()
 }
 
 /// Analytic device-time model converting [`KernelCounters`] into estimated

@@ -1,12 +1,12 @@
-//! The persistent stream worker pool: one parked worker per
-//! (device, stream), created lazily and reused across every
-//! [`Runtime::scope`] call — including scopes that poison.
+//! Stream workers of [`Runtime::scope`]: one thread per (device, stream)
+//! within a scope, ordered queues, and panic isolation — a poisoned scope
+//! re-panics without disturbing the next one.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::Mutex;
 use std::thread::ThreadId;
 
-use gsword_simt::{DeviceConfig, Runtime, RuntimeConfig};
+use gsword_simt::{DeviceConfig, Event, Runtime, RuntimeConfig};
 
 fn runtime(devices: usize, streams: usize) -> Runtime {
     Runtime::new(RuntimeConfig {
@@ -21,49 +21,71 @@ fn runtime(devices: usize, streams: usize) -> Runtime {
     })
 }
 
-/// Run one scope that submits a job to every (device, stream) and collect
-/// the worker thread ids the jobs ran on.
-fn worker_ids(rt: &Runtime) -> HashSet<ThreadId> {
-    let ids = Mutex::new(Vec::new());
+/// Run one scope that submits three jobs to every (device, stream) and
+/// collect, per stream, the thread ids its jobs ran on.
+fn worker_ids(rt: &Runtime) -> HashMap<(usize, usize), HashSet<ThreadId>> {
+    let ids = Mutex::new(HashMap::<_, HashSet<_>>::new());
     rt.scope(|rs| {
-        for d in 0..rt.num_devices() {
-            for s in 0..rt.streams_per_device() {
-                let ids = &ids;
-                rs.submit(d, s, move || {
-                    ids.lock().unwrap().push(std::thread::current().id());
-                });
+        for _ in 0..3 {
+            for d in 0..rt.num_devices() {
+                for s in 0..rt.streams_per_device() {
+                    let ids = &ids;
+                    rs.submit(d, s, move || {
+                        let id = std::thread::current().id();
+                        ids.lock().unwrap().entry((d, s)).or_default().insert(id);
+                    });
+                }
             }
         }
     });
-    ids.into_inner().unwrap().into_iter().collect()
+    ids.into_inner().unwrap()
+}
+
+/// Every stream ran on exactly one worker, distinct per stream and off the
+/// submitting thread.
+fn assert_one_worker_per_stream(rt: &Runtime) {
+    let per_stream = worker_ids(rt);
+    let streams = rt.num_devices() * rt.streams_per_device();
+    assert_eq!(per_stream.len(), streams, "every stream ran its jobs");
+    let main = std::thread::current().id();
+    let mut all: HashSet<ThreadId> = HashSet::new();
+    for (stream, ids) in &per_stream {
+        assert_eq!(
+            ids.len(),
+            1,
+            "stream {stream:?} ran on {} workers",
+            ids.len()
+        );
+        assert!(!ids.contains(&main), "jobs run off the submitting thread");
+        all.extend(ids.iter().copied());
+    }
+    assert_eq!(
+        all.len(),
+        streams,
+        "one dedicated worker per (device, stream)"
+    );
 }
 
 #[test]
-fn workers_are_reused_across_scopes() {
+fn each_stream_has_one_worker_per_scope() {
     let rt = runtime(2, 2);
-    let main = std::thread::current().id();
-
-    let first = worker_ids(&rt);
-    assert_eq!(first.len(), 4, "one dedicated worker per (device, stream)");
-    assert!(!first.contains(&main), "jobs run off the submitting thread");
-
-    // Three more scopes: the exact same worker threads serve every one —
-    // no per-scope spawning.
-    for round in 0..3 {
-        assert_eq!(worker_ids(&rt), first, "round {round}");
+    for _ in 0..3 {
+        assert_one_worker_per_stream(&rt);
     }
 }
 
 #[test]
 fn pool_survives_a_poisoned_scope() {
     let rt = runtime(1, 2);
-    let before = worker_ids(&rt);
 
     // A panicking job poisons its scope (which re-panics on exit) but must
-    // not take the worker thread down.
+    // not take its stream down: the record queued behind it still runs.
+    let after = Event::new();
     let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         rt.scope(|rs| {
             rs.submit(0, 0, || panic!("kernel exploded"));
+            let after = after.clone();
+            rs.submit(0, 0, move || after.record());
             rs.submit(0, 1, || {});
         });
     }))
@@ -77,11 +99,11 @@ fn pool_survives_a_poisoned_scope() {
         msg.contains("stream job panicked"),
         "unexpected panic message: {msg:?}"
     );
+    assert!(after.is_complete(), "jobs behind a panicked job still run");
 
-    // Poisoning is consumed by the failed scope; later scopes start clean
-    // and run on the very same workers.
-    for round in 0..2 {
-        assert_eq!(worker_ids(&rt), before, "round {round} after poison");
+    // Poisoning is local to the failed scope; later scopes run clean.
+    for _ in 0..2 {
+        assert_one_worker_per_stream(&rt);
     }
 }
 
